@@ -22,10 +22,13 @@ runner and CLI surface them (accuracy over survivors, failure counters in
 from __future__ import annotations
 
 import hashlib
+import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Iterator
+from typing import TYPE_CHECKING, Any, Callable, Iterator, TypeVar
 
 from repro.errors import EngineError, ReproError
+
+T = TypeVar("T")
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.pipelines.base import Prediction
@@ -120,6 +123,21 @@ class RetryPolicy:
         ).digest()
         unit = int.from_bytes(digest, "big") / 2**64  # uniform in [0, 1)
         return base * (1.0 + self.jitter * unit)
+
+    def call(self, fn: Callable[[], T], query_index: int = 0) -> T:
+        """``fn()`` under this policy: retried after each backoff while
+        :meth:`should_retry` allows; the last error propagates."""
+        attempt = 0
+        while True:
+            attempt += 1
+            try:
+                return fn()
+            except Exception as exc:
+                if not self.should_retry(exc, attempt):
+                    raise
+                delay = self.delay(attempt, query_index)
+                if delay > 0:
+                    time.sleep(delay)
 
 
 @dataclass(frozen=True)

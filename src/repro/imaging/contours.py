@@ -5,15 +5,18 @@ Replaces ``cv2.findContours`` for the paper's preprocessing routine
 contour of largest area.
 
 Connected foreground components are located with ``scipy.ndimage.label``
-(8-connectivity, matching OpenCV's default) and each component's outer
-boundary is traced with Moore-neighbour tracing so contours carry an ordered
-point polygon as well as the filled region mask.  Area is the filled pixel
-count, which is what the paper's "largest area" selection needs.
+(8-connectivity, matching OpenCV's default).  Area is the pixel count,
+which is what the paper's "largest area" selection needs; all component
+areas come from one ``np.bincount`` over the label image.  Each component's
+outer boundary is traced with Moore-neighbour tracing only when a caller
+reads :attr:`Contour.points` (or the perimeter): the recognition cascade
+needs the region and its bounding box, never the polygon.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy import ndimage
@@ -31,29 +34,24 @@ _MOORE = [(0, 1), (1, 1), (1, 0), (1, -1), (0, -1), (-1, -1), (-1, 0), (-1, 1)]
 class Contour:
     """An extracted object contour.
 
-    ``points`` is an ordered ``(N, 2)`` array of (row, col) boundary
-    coordinates; ``mask`` is the filled component as a boolean image of the
-    same shape as the source.
+    ``mask`` is the component as a boolean image of the same shape as the
+    source; ``start`` its first pixel in raster order, where the boundary
+    trace begins.  ``points`` is the ordered ``(N, 2)`` array of (row, col)
+    boundary coordinates, traced on first access.
     """
 
-    points: np.ndarray
     mask: np.ndarray = field(repr=False)
+    start: tuple[int, int]
 
     @property
     def area(self) -> float:
-        """Filled area in pixels."""
+        """Area in pixels."""
         return float(self.mask.sum())
 
-    @property
-    def filled_mask(self) -> np.ndarray:
-        """The outer-polygon region with interior holes filled.
-
-        This is what OpenCV's contour moments describe: ``cv2.matchShapes``
-        on an outer contour integrates over the enclosed polygon via Green's
-        theorem, so holes inside the outline (a window's panes) do not
-        exist at the moment level.
-        """
-        return ndimage.binary_fill_holes(self.mask)
+    @cached_property
+    def points(self) -> np.ndarray:
+        """The traced outer boundary (see :func:`_trace_boundary`)."""
+        return _trace_boundary(self.mask, self.start)
 
     @property
     def perimeter(self) -> float:
@@ -80,7 +78,11 @@ def _trace_boundary(mask: np.ndarray, start: tuple[int, int]) -> np.ndarray:
 
     *start* must be the first foreground pixel in raster order, which
     guarantees the pixel above it is background — the canonical entry
-    condition for Moore tracing with Jacob's stopping criterion.
+    condition for Moore tracing.  The trace stops by Jacob's criterion: when
+    the first move (start → first neighbour) is about to repeat.  Stopping
+    on the first return to *start* instead loses every lobe beyond it when
+    *start* is a cut vertex (an inverted V).  A pixel the trace passes more
+    than once appears once per pass.
     """
     rows, cols = mask.shape
 
@@ -91,6 +93,7 @@ def _trace_boundary(mask: np.ndarray, start: tuple[int, int]) -> np.ndarray:
     # Backtrack direction: we entered `start` coming from the pixel above.
     prev_dir = 6  # index of (-1, 0) in _MOORE
     current = start
+    first_move: tuple[tuple[int, int], tuple[int, int]] | None = None
     for _ in range(4 * mask.size + 8):  # hard bound; trace must terminate
         found = False
         # Scan clockwise starting just after the backtrack direction.
@@ -102,53 +105,71 @@ def _trace_boundary(mask: np.ndarray, start: tuple[int, int]) -> np.ndarray:
                 # New backtrack points from the neighbour to the pixel we
                 # scanned just before finding it.
                 prev_dir = (idx + 4) % 8
-                current = (nr, nc)
                 found = True
                 break
         if not found:  # isolated single pixel
             break
-        if current == start:
+        # A move fixes the next scan (it starts after the pixel we came
+        # from), so a repeated first move means the boundary has closed.
+        move = (current, (nr, nc))
+        if first_move is None:
+            first_move = move
+        elif move == first_move:
+            boundary.pop()  # the closing return to start
             break
+        current = (nr, nc)
         boundary.append(current)
     return np.array(boundary, dtype=np.intp)
+
+
+def _labelled(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """8-connected labels of *mask* and each label's pixel count."""
+    mask = np.asarray(mask)
+    if mask.ndim != 2:
+        raise ContourError(f"mask must be 2-D, got shape {mask.shape}")
+    labels, count = ndimage.label(mask.astype(bool), structure=_STRUCT8)
+    return labels, np.bincount(labels.ravel(), minlength=count + 1)
+
+
+def _contour_of(labels: np.ndarray, label_id: int) -> Contour:
+    component = labels == label_id
+    start_flat = int(np.argmax(component))
+    start = (start_flat // component.shape[1], start_flat % component.shape[1])
+    return Contour(mask=component, start=start)
 
 
 def find_contours(mask: np.ndarray, min_area: float = 1.0) -> list[Contour]:
     """Extract outer contours of all foreground components in *mask*.
 
     Components smaller than *min_area* pixels are dropped.  Contours are
-    returned sorted by descending area, so ``find_contours(m)[0]`` is the
-    paper's "contour of largest area".
+    returned sorted by descending area (lowest label first among equal
+    areas), so ``find_contours(m)[0]`` is the paper's "contour of largest
+    area" — :func:`largest_contour` without the other components.
     """
-    mask = np.asarray(mask)
-    if mask.ndim != 2:
-        raise ContourError(f"mask must be 2-D, got shape {mask.shape}")
-    binary = mask.astype(bool)
-    labels, count = ndimage.label(binary, structure=_STRUCT8)
-    contours = []
-    for label_id in range(1, count + 1):
-        component = labels == label_id
-        area = component.sum()
-        if area < min_area:
-            continue
-        start_flat = int(np.argmax(component))
-        start = (start_flat // component.shape[1], start_flat % component.shape[1])
-        points = _trace_boundary(component, start)
-        contours.append(Contour(points=points, mask=component))
-    contours.sort(key=lambda c: c.area, reverse=True)
-    return contours
+    labels, areas = _labelled(mask)
+    # Stable sort: equal areas keep ascending label order.
+    order = np.argsort(-areas[1:], kind="stable") + 1
+    return [
+        _contour_of(labels, int(label_id))
+        for label_id in order
+        if areas[label_id] >= min_area
+    ]
 
 
 def largest_contour(mask: np.ndarray) -> Contour:
-    """Return the largest-area contour, raising if the mask is empty."""
-    contours = find_contours(mask)
-    if not contours:
+    """Return the largest-area contour, raising if the mask is empty.
+
+    Only the winning component's mask is built; among equal areas the
+    lowest label (first in raster order) wins, as in :func:`find_contours`.
+    """
+    labels, areas = _labelled(mask)
+    if len(areas) < 2:
         raise ContourError("no foreground component found in mask")
-    return contours[0]
+    return _contour_of(labels, int(np.argmax(areas[1:])) + 1)
 
 
 def contour_area(contour: Contour) -> float:
-    """Area of *contour* in pixels (filled-region count)."""
+    """Area of *contour* in pixels."""
     return contour.area
 
 

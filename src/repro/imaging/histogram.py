@@ -64,19 +64,38 @@ def rgb_histogram(
         if not mask.any():
             raise ImageError("mask selects no pixels")
 
-    parts = []
-    for channel in range(3):
-        values = data[..., channel]
-        if mask is not None:
-            values = values[mask]
-        counts, _ = np.histogram(values, bins=bins, range=(0.0, 1.0))
-        parts.append(counts.astype(np.float64))
-    hist = np.concatenate(parts)
+    pixels = data[mask] if mask is not None else data.reshape(-1, 3)
+    hist = _channel_counts(pixels, bins).astype(np.float64)
     if normalise:
         total = hist.sum()
         if total > 0:
             hist = hist / total
     return hist
+
+
+def _channel_counts(pixels: np.ndarray, bins: int) -> np.ndarray:
+    """Per-channel ``np.histogram(..., range=(0, 1))`` counts of ``(N, 3)``
+    *pixels*, concatenated, in one ``np.bincount``.
+
+    Bin indices follow NumPy's equal-width algorithm step for step, so the
+    counts are bit-identical to three ``np.histogram`` calls: values outside
+    [0, 1] (and NaN) are dropped, 1.0 lands in the last bin, and indices
+    within an ulp of a bin edge are corrected against the edges themselves.
+    Each channel's indices are then offset by ``channel * bins``.
+    """
+    edges = np.linspace(0.0, 1.0, bins + 1)
+    keep = (pixels >= 0.0) & (pixels <= 1.0)
+    channels = np.broadcast_to(np.arange(3), pixels.shape)
+    if not keep.all():
+        values, channels = pixels[keep], channels[keep]
+    else:
+        values, channels = pixels.ravel(), channels.ravel()
+    # Truncation toward zero is np.histogram's own float -> bin-index step.
+    indices = (((values - 0.0) / 1.0) * bins).astype(np.intp, casting="unsafe")
+    indices[indices == bins] -= 1
+    indices[values < edges[indices]] -= 1
+    indices[(values >= edges[indices + 1]) & (indices != bins - 1)] += 1
+    return np.bincount(indices + channels * bins, minlength=3 * bins)
 
 
 def gray_histogram(

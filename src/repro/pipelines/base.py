@@ -353,17 +353,20 @@ class MatchingPipeline(RecognitionPipeline):
         is an exhaustive scan through the same kernels — the audit/bench
         baseline.  Both share one tie rule (first index among equals).
         """
+        self.references
+        return self.champions_of([self.extract_features(query) for query in queries])
+
+    def champions_of(self, features: Sequence[Any]) -> "list[RetrievalResult]":
+        """:meth:`champion_batch` from already-extracted query features."""
         from repro.index.twostage import RetrievalResult
 
-        self.references
         results: list[RetrievalResult] = []
-        for query in queries:
-            features = self.extract_features(query)
-            with maybe_stage(self.stopwatch, "score"):
+        with maybe_stage(self.stopwatch, "score"):
+            for query_features in features:
                 if self._retriever is not None:
-                    results.append(self._retriever.champion(features))
+                    results.append(self._retriever.champion(query_features))
                 else:
-                    scores = self._score_features(features)
+                    scores = self._score_features(query_features)
                     best = int(
                         np.argmax(scores) if self.higher_is_better else np.argmin(scores)
                     )
@@ -519,7 +522,10 @@ class MatchingPipeline(RecognitionPipeline):
         one query at a time.
         """
         self.references
-        features = [self.extract_features(query) for query in queries]
+        return self.scores_of([self.extract_features(query) for query in queries])
+
+    def scores_of(self, features: Sequence[Any]) -> np.ndarray:
+        """The ``(Q, V)`` score matrix of already-extracted query features."""
         with maybe_stage(self.stopwatch, "score"):
             if not features:
                 return np.empty((0, len(self._reference_features)), dtype=np.float64)

@@ -27,7 +27,7 @@ from repro.imaging.histogram import (
     stack_histograms,
 )
 from repro.pipelines.base import MatchingPipeline
-from repro.pipelines.preprocess import extract_object_crop
+from repro.pipelines.preprocess import ObjectCrop, extract_object_crop
 
 
 #: Cache version of :func:`color_features`; the namespace additionally
@@ -44,15 +44,20 @@ def color_feature_namespace(bins: int) -> str:
     return f"color-hist{bins}"
 
 
-def color_features(item: LabelledImage, bins: int = HISTOGRAM_BINS) -> np.ndarray:
+def color_features(
+    item: LabelledImage, bins: int = HISTOGRAM_BINS, crop: ObjectCrop | None = None
+) -> np.ndarray:
     """Masked RGB histogram of *item*'s object crop.
 
-    Degenerate inputs (no contour) fall back to the whole-image histogram,
-    mirroring what an OpenCV pipeline would do with an empty mask.
+    *crop* is that crop when the caller already has it (one crop serves the
+    shape and colour features).  Degenerate inputs (no contour) fall back
+    to the whole-image histogram, mirroring what an OpenCV pipeline would
+    do with an empty mask.
     """
     try:
-        object_crop = extract_object_crop(item.image, background="auto")
-        return rgb_histogram(object_crop.image, bins=bins, mask=object_crop.mask)
+        if crop is None:
+            crop = extract_object_crop(item.image, background="auto")
+        return rgb_histogram(crop.image, bins=bins, mask=crop.mask)
     except (ContourError, ImageError):
         return rgb_histogram(item.image, bins=bins)
 

@@ -58,6 +58,7 @@ from repro.pipelines.color_only import (
     color_feature_namespace,
     color_features,
 )
+from repro.pipelines.preprocess import shared_crop
 from repro.pipelines.shape_only import (
     SHAPE_FEATURE_NAMESPACE,
     SHAPE_FEATURE_VERSION,
@@ -125,30 +126,6 @@ class HybridPipeline(RecognitionPipeline):
         #: attached by :meth:`attach_index`; None = brute-force thetas.
         self._retriever: "TwoStageRetriever | None" = None
 
-    def _shape_of(self, item: LabelledImage) -> np.ndarray:
-        # Shares the shape-only pipelines' cache namespace, so a hybrid fit
-        # after a shape-only fit (or vice versa) is all hits.
-        if self.cache is None:
-            return shape_features(item)
-        namespace, version = self._shape_keyspace
-        return self.cache.get_or_compute(
-            namespace,
-            version,
-            item.image,
-            lambda: shape_features(item),
-        )
-
-    def _color_of(self, item: LabelledImage) -> np.ndarray:
-        if self.cache is None:
-            return color_features(item, bins=self.bins)
-        namespace, version = self._color_keyspace
-        return self.cache.get_or_compute(
-            namespace,
-            version,
-            item.image,
-            lambda: color_features(item, bins=self.bins),
-        )
-
     @property
     def scoring_mode(self) -> str:
         if self._retriever is not None and not self.keep_view_scores:
@@ -157,8 +134,26 @@ class HybridPipeline(RecognitionPipeline):
         return "batch" if batched else "scalar"
 
     def extract_features(self, query: LabelledImage) -> tuple[np.ndarray, np.ndarray]:
-        """The (shape, colour) feature pair of one query, cache-backed."""
-        return self._shape_of(query), self._color_of(query)
+        """The (shape, colour) feature pair of one query, cache-backed.
+
+        Both namespaces are the shape-only and colour-only pipelines' own,
+        so fits of any family share entries; on misses both features come
+        from one object crop.
+        """
+        crop = shared_crop(query.image)
+
+        def shape() -> np.ndarray:
+            return shape_features(query, crop=crop())
+
+        def color() -> np.ndarray:
+            return color_features(query, bins=self.bins, crop=crop())
+
+        if self.cache is None:
+            return shape(), color()
+        return (
+            self.cache.get_or_compute(*self._shape_keyspace, query.image, shape),
+            self.cache.get_or_compute(*self._color_keyspace, query.image, color),
+        )
 
     @property
     def index_attached(self) -> bool:
@@ -284,18 +279,24 @@ class HybridPipeline(RecognitionPipeline):
         Indexed when an index is attached, exhaustive otherwise; both use
         the first-index argmin tie rule of the brute-force path.
         """
+        self.references
+        with maybe_stage(self.stopwatch, "extract"):
+            features = [self.extract_features(query) for query in queries]
+        return self.champions_of(features)
+
+    def champions_of(
+        self, features: Sequence[tuple[np.ndarray, np.ndarray]]
+    ) -> "list[RetrievalResult]":
+        """:meth:`champion_batch` from already-extracted feature pairs."""
         from repro.index.twostage import RetrievalResult
 
-        self.references
         results: list[RetrievalResult] = []
-        for query in queries:
-            with maybe_stage(self.stopwatch, "extract"):
-                features = self.extract_features(query)
-            with maybe_stage(self.stopwatch, "score"):
+        with maybe_stage(self.stopwatch, "score"):
+            for pair in features:
                 if self._retriever is not None:
-                    results.append(self._retriever.champion(features))
+                    results.append(self._retriever.champion(pair))
                 else:
-                    thetas = self._thetas_of(*features)
+                    thetas = self._thetas_of(*pair)
                     best = int(np.argmin(thetas))
                     results.append(
                         RetrievalResult(
@@ -311,8 +312,9 @@ class HybridPipeline(RecognitionPipeline):
         self._references = references
         self._retriever = None  # indexes an old library; rebuild explicitly
         with maybe_stage(self.stopwatch, "extract"):
-            self._shape_refs = [self._shape_of(item) for item in references]
-            self._color_refs = [self._color_of(item) for item in references]
+            features = [self.extract_features(item) for item in references]
+        self._shape_refs = [shape for shape, _ in features]
+        self._color_refs = [color for _, color in features]
         self._shape_matrix = None
         self._color_matrix = None
         if self.batch_scoring:
@@ -378,10 +380,9 @@ class HybridPipeline(RecognitionPipeline):
     def theta_scores(self, query: LabelledImage) -> np.ndarray:
         """Per-view theta = alpha*S + beta*C' for *query* (eq. 2)."""
         with maybe_stage(self.stopwatch, "extract"):
-            query_shape = self._shape_of(query)
-            query_color = self._color_of(query)
+            features = self.extract_features(query)
         with maybe_stage(self.stopwatch, "score"):
-            return self._thetas_of(query_shape, query_color)
+            return self._thetas_of(*features)
 
     def _thetas_of(
         self, query_shape: np.ndarray, query_color: np.ndarray
@@ -422,9 +423,11 @@ class HybridPipeline(RecognitionPipeline):
         """``(Q, V)`` theta matrix of a query block (row i = queries[i])."""
         self.references
         with maybe_stage(self.stopwatch, "extract"):
-            features = [
-                (self._shape_of(query), self._color_of(query)) for query in queries
-            ]
+            features = [self.extract_features(query) for query in queries]
+        return self.scores_of(features)
+
+    def scores_of(self, features: Sequence[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
+        """The ``(Q, V)`` theta matrix of already-extracted feature pairs."""
         with maybe_stage(self.stopwatch, "score"):
             if not features:
                 return np.empty((0, len(self.references)), dtype=np.float64)

@@ -13,10 +13,12 @@ matching pipelines reuse for moments and masked histograms.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
+from scipy import ndimage
 
-from repro.errors import ContourError, PipelineError
+from repro.errors import ContourError, ImageError, PipelineError
 from repro.imaging.contours import Contour, largest_contour
 from repro.imaging.image import as_float, crop
 from repro.imaging.threshold import threshold_binary
@@ -44,6 +46,19 @@ class ObjectCrop:
     contour: Contour = field(repr=False)
     bbox: tuple[int, int, int, int]
 
+    @property
+    def filled_mask(self) -> np.ndarray:
+        """The crop's object region with interior holes filled.
+
+        This is what OpenCV's contour moments describe: ``cv2.matchShapes``
+        on an outer contour integrates over the enclosed polygon via Green's
+        theorem, so holes inside the outline (a window's panes) do not
+        exist at the moment level.  Filling inside the crop equals filling
+        the whole frame and cropping: everything outside the bounding box
+        is background connected to the frame border.
+        """
+        return ndimage.binary_fill_holes(self.mask)
+
 
 def detect_background(image: np.ndarray) -> str:
     """Guess whether *image* lies on a black or white background.
@@ -52,9 +67,9 @@ def detect_background(image: np.ndarray) -> str:
     for NYU crops and near white for ShapeNet views.
     """
     data = as_float(image)
-    if data.ndim == 3:
-        data = data.mean(axis=-1)
     border = np.concatenate([data[0, :], data[-1, :], data[1:-1, 0], data[1:-1, -1]])
+    if border.ndim == 2:
+        border = border.mean(axis=-1)  # luma of the border pixels only
     return "black" if border.mean() < 0.5 else "white"
 
 
@@ -86,3 +101,24 @@ def extract_object_crop(image: np.ndarray, background: str = "auto") -> ObjectCr
         contour=contour,
         bbox=(top, left, height, width),
     )
+
+
+def shared_crop(image: np.ndarray) -> Callable[[], ObjectCrop | None]:
+    """A thunk that runs the cascade on *image* at its first call only.
+
+    The shape and colour extractions of one image call it in turn, so a
+    hybrid query crops once, and not at all when both features are cache
+    hits.  ``None`` means the cascade failed; each extraction then runs its
+    own failure path on the image.
+    """
+    memo: list[ObjectCrop | None] = []
+
+    def object_crop() -> ObjectCrop | None:
+        if not memo:
+            try:
+                memo.append(extract_object_crop(image, background="auto"))
+            except (ContourError, ImageError):
+                memo.append(None)
+        return memo[0]
+
+    return object_crop

@@ -26,7 +26,7 @@ from repro.imaging.match_shapes import (
 )
 from repro.imaging.moments import hu_moments
 from repro.pipelines.base import MatchingPipeline
-from repro.pipelines.preprocess import extract_object_crop
+from repro.pipelines.preprocess import ObjectCrop, extract_object_crop
 
 #: Hu vector used when preprocessing finds no contour at all (degenerate
 #: query); it is maximally distant from any real shape under all metrics.
@@ -39,21 +39,20 @@ SHAPE_FEATURE_NAMESPACE = "shape-hu"
 SHAPE_FEATURE_VERSION = "v1"
 
 
-def shape_features(item: LabelledImage) -> np.ndarray:
+def shape_features(item: LabelledImage, crop: ObjectCrop | None = None) -> np.ndarray:
     """Hu-moment vector of the largest foreground contour of *item*.
 
-    Moments are taken over the *filled outer polygon* of the contour, which
-    is what ``cv2.matchShapes`` sees: OpenCV integrates contour moments via
-    Green's theorem, so interior holes (window panes, mug handles) are
-    invisible at the moment level.
+    Moments are taken over the *filled outer polygon* of the contour (see
+    :attr:`~repro.pipelines.preprocess.ObjectCrop.filled_mask`), which is
+    what ``cv2.matchShapes`` sees.  *crop* is *item*'s object crop when the
+    caller already has it (one crop serves the shape and colour features).
     """
-    try:
-        object_crop = extract_object_crop(item.image, background="auto")
-    except ContourError:
-        return _DEGENERATE_HU
-    filled = object_crop.contour.filled_mask
-    top, left, height, width = object_crop.bbox
-    return hu_moments(filled[top : top + height, left : left + width].astype(np.float64))
+    if crop is None:
+        try:
+            crop = extract_object_crop(item.image, background="auto")
+        except ContourError:
+            return _DEGENERATE_HU
+    return hu_moments(crop.filled_mask.astype(np.float64))
 
 
 class ShapeOnlyPipeline(MatchingPipeline):

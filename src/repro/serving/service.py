@@ -386,22 +386,14 @@ class RecognitionService:
 
     def _serve_isolated(self, request: _PendingRequest) -> None:
         """One request under the retry policy, then the fallback chain."""
-        policy = self.retry_policy
-        attempt = 0
-        while True:
-            attempt += 1
-            try:
-                prediction = self.pipeline.predict(request.query)
-            except Exception as exc:
-                if policy.should_retry(exc, attempt):
-                    delay = policy.delay(attempt, request.index)
-                    if delay > 0:
-                        time.sleep(delay)
-                    continue
-                self._serve_degraded(request, exc)
-                return
-            self._resolve(request, prediction)
+        try:
+            prediction = self.retry_policy.call(
+                lambda: self.pipeline.predict(request.query), request.index
+            )
+        except Exception as exc:
+            self._serve_degraded(request, exc)
             return
+        self._resolve(request, prediction)
 
     def _serve_degraded(
         self, request: _PendingRequest, cause: BaseException, expired: bool = False

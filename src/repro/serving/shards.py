@@ -6,8 +6,10 @@
 (:func:`plan_shards`, aligned to class boundaries so each shard owns whole
 class namespaces), every worker process attaches its range of the shared
 :class:`~repro.store.attach.ReferenceStore` zero-copy, and each admitted
-micro-batch is scattered to all shards and merged by a tie-rule-preserving
-reduction.
+micro-batch is extracted once in the front-end, scattered to all shards as
+feature rows and merged by a tie-rule-preserving reduction.  Workers only
+score: no image crosses the process boundary, and no shard repeats the
+cold path's dominant cost.
 
 Why this is *bit-identical* to the single-process path: every scoring
 kernel is row-independent per reference view, so a worker scoring rows
@@ -57,7 +59,7 @@ import time
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 from repro.config import ExperimentConfig, ServingSettings
 from repro.datasets.dataset import ImageDataset, LabelledImage
@@ -164,7 +166,8 @@ class ShardTask:
 
     Deliberately small and picklable: the worker re-creates the pipeline
     from the *default registry* name and attaches the store range by path —
-    no matrices, images or locks ever cross the process boundary.
+    no matrices, images or locks ever cross the process boundary; queries
+    arrive as their extracted feature rows.
     """
 
     store_dir: str
@@ -229,19 +232,15 @@ def _shard_pipeline(task: ShardTask) -> RecognitionPipeline:
 
 
 def _brute_champions(
-    pipeline: RecognitionPipeline, start: int, queries: list[LabelledImage]
+    pipeline: RecognitionPipeline, start: int, features: Sequence[Any]
 ) -> list[tuple[float, int, str, str]]:
     """Exact per-query champions of one attached row range, brute force.
 
     Shared by the worker scoring path and the front-end rescue path, so a
     rescued shard reproduces its worker's brute-force answers bit-for-bit.
     """
-    if hasattr(pipeline, "theta_scores_batch"):
-        scores = pipeline.theta_scores_batch(queries)  # type: ignore[attr-defined]
-        higher_is_better = False
-    else:
-        scores = pipeline.score_views_batch(queries)  # type: ignore[attr-defined]
-        higher_is_better = bool(getattr(pipeline, "higher_is_better", False))
+    scores = pipeline.scores_of(features)  # type: ignore[attr-defined]
+    higher_is_better = bool(getattr(pipeline, "higher_is_better", False))
     best = scores.argmax(axis=1) if higher_is_better else scores.argmin(axis=1)
     references = pipeline.references
     out: list[tuple[float, int, str, str]] = []
@@ -259,16 +258,18 @@ def _brute_champions(
 
 
 def _score_shard(
-    task: ShardTask, queries: list[LabelledImage], dispatch_key: str = ""
+    task: ShardTask, features: Sequence[Any], dispatch_key: str = ""
 ) -> list[tuple[float, int, str, str]]:
     """Worker entry point: each query's champion within this shard.
 
-    Returns one ``(score, global_index, label, model_id)`` per query; the
-    index is global (shard start + local argmin) so the front-end merge can
-    reproduce the whole-matrix first-index tie rule.  Module-level so the
-    process backend can pickle it by reference.  *dispatch_key* names the
-    flush (plus a ``h``/``r`` leg suffix for hedges and replays) and feeds
-    the task's seeded chaos plan, when one is attached.
+    *features* holds each query's extracted features (the front-end's
+    ``extract_features`` rows).  Returns one ``(score, global_index, label,
+    model_id)`` per query; the index is global (shard start + local argmin)
+    so the front-end merge can reproduce the whole-matrix first-index tie
+    rule.  Module-level so the process backend can pickle it by reference.
+    *dispatch_key* names the flush (plus a ``h``/``r`` leg suffix for
+    hedges and replays) and feeds the task's seeded chaos plan, when one is
+    attached.
     """
     if task.chaos is not None:
         apply_shard_chaos(task.chaos, task.start, dispatch_key)
@@ -280,13 +281,13 @@ def _score_shard(
         # merge semantics below are unchanged.
         references = pipeline.references
         out = []
-        for hit in pipeline.champion_batch(queries):  # type: ignore[attr-defined]
+        for hit in pipeline.champions_of(features):  # type: ignore[attr-defined]
             winner = references[hit.row]
             out.append(
                 (hit.score, task.start + hit.row, winner.label, winner.model_id)
             )
         return out
-    return _brute_champions(pipeline, task.start, queries)
+    return _brute_champions(pipeline, task.start, features)
 
 
 def merge_champions(
@@ -329,9 +330,10 @@ class ShardedRecognitionService:
     *pipeline_name* must be a default-registry pipeline with a per-view
     batch scoring path (the matching families; the hybrid is served in its
     weighted-sum strategy).  Workers attach the published *store_dir*
-    version zero-copy; the front-end keeps only the admission queue, the
-    deadline/fallback machinery, the shard health board and the merge —
-    reference matrices live in the workers' shared page cache.
+    version zero-copy; the front-end keeps the admission queue, the query
+    feature extraction, the deadline/fallback machinery, the shard health
+    board and the merge — reference matrices live in the workers' shared
+    page cache.
 
     The submit/recognize/report surface mirrors
     :class:`~repro.serving.service.RecognitionService`, so the load
@@ -443,7 +445,12 @@ class ShardedRecognitionService:
         )
 
     def _probe_registry_pipeline(self) -> None:
-        """Fail fast on pipelines the scatter-gather merge cannot serve."""
+        """Fail fast on pipelines the scatter-gather merge cannot serve.
+
+        The probe stays as the front-end's feature extractor: extraction
+        depends on the image and the configuration, never on the library,
+        so it survives swaps and enrollments.
+        """
         from repro.serving.registry import default_registry
 
         probe = default_registry().build(self.pipeline_name, self.config)
@@ -459,6 +466,7 @@ class ShardedRecognitionService:
                 f"strategy {strategy!r} aggregates across views"
             )
         self._higher_is_better = bool(getattr(probe, "higher_is_better", False))
+        self._extractor = probe
 
     def _build_tasks(
         self,
@@ -898,9 +906,9 @@ class ShardedRecognitionService:
                 )
             else:
                 live.append(request)
+        live, features = self._extract_isolated(live)
         if not live:
             return
-        queries = [request.query for request in live]
         # Snapshot the epoch's tasks and health board atomically and count
         # this flush in flight against that epoch, so a concurrent swap can
         # commit immediately and observe the drain.
@@ -914,7 +922,7 @@ class ShardedRecognitionService:
         try:
             try:
                 champions, flagged = self._scatter_gather(
-                    tasks, board, queries, dispatch_key
+                    tasks, board, features, dispatch_key
                 )
             except BrokenProcessPool:
                 # One rebuild + one replay: scoring is deterministic and
@@ -924,7 +932,7 @@ class ShardedRecognitionService:
                 self._rebuild_pool()
                 try:
                     champions, flagged = self._scatter_gather(
-                        tasks, board, queries, dispatch_key + "r"
+                        tasks, board, features, dispatch_key + "r"
                     )
                 except Exception as exc:
                     for request in live:
@@ -968,11 +976,38 @@ class ShardedRecognitionService:
                     del self._inflight[epoch]
                 self._state_lock.notify_all()
 
+    def _extract_isolated(
+        self, live: list[_PendingRequest]
+    ) -> tuple[list[_PendingRequest], list[Any]]:
+        """Each request's query features, extracted once for every shard.
+
+        A request whose extraction fails is resolved alone, as
+        :class:`~repro.serving.service.RecognitionService` isolates a bad
+        query: retried under the retry policy, then served by the fallback
+        (flagged degraded) or failed.  It never reaches the shards, so the
+        rest of the flush is served and no shard is charged an error.
+        Returns the requests still live and their features, in order.
+        """
+        kept: list[_PendingRequest] = []
+        features: list[Any] = []
+        extract = self._extractor.extract_features  # type: ignore[attr-defined]
+        for request in live:
+            try:
+                row = self.retry_policy.call(
+                    lambda: extract(request.query), request.index
+                )
+            except Exception as exc:
+                self._serve_degraded(request, exc)
+            else:
+                kept.append(request)
+                features.append(row)
+        return kept, features
+
     def _scatter_gather(
         self,
         tasks: Sequence[ShardTask],
         board: Sequence[ShardHealth],
-        queries: list[LabelledImage],
+        features: list[Any],
         dispatch_key: str,
     ) -> tuple[list[tuple[float, int, str, str]], list[bool]]:
         """Scatter to healthy shards, hedge stragglers, rescue the sick.
@@ -994,12 +1029,12 @@ class ShardedRecognitionService:
         for position, task in enumerate(tasks):
             if board[position].allow_dispatch():
                 primaries[position] = pool.submit(
-                    _score_shard, task, queries, dispatch_key
+                    _score_shard, task, features, dispatch_key
                 )
             else:
                 # Breaker open: skip the shard, serve its rows in-process.
                 rescue_positions.append(position)
-        hedges = self._hedge_stragglers(pool, tasks, primaries, queries, dispatch_key)
+        hedges = self._hedge_stragglers(pool, tasks, primaries, features, dispatch_key)
         blocks: dict[int, list[tuple[float, int, str, str]]] = {}
         for position in sorted(primaries):
             try:
@@ -1018,7 +1053,7 @@ class ShardedRecognitionService:
                 self.stats.record_shard_error()
                 rescue_positions.append(position)
         for position in sorted(rescue_positions):
-            blocks[position] = self._rescue_shard(tasks[position], queries)
+            blocks[position] = self._rescue_shard(tasks[position], features)
             self.stats.record_rescued()
         ordered = [blocks[position] for position in range(len(tasks))]
         champions = merge_champions(ordered, higher_is_better=self._higher_is_better)
@@ -1037,7 +1072,7 @@ class ShardedRecognitionService:
         pool: ProcessPoolExecutor,
         tasks: Sequence[ShardTask],
         primaries: dict[int, Future],
-        queries: list[LabelledImage],
+        features: list[Any],
         dispatch_key: str,
     ) -> dict[int, Future]:
         """Re-dispatch still-pending shards after the hedge threshold."""
@@ -1051,7 +1086,7 @@ class ShardedRecognitionService:
         for position, future in primaries.items():
             if future in pending:
                 hedges[position] = pool.submit(
-                    _score_shard, tasks[position], queries, dispatch_key + "h"
+                    _score_shard, tasks[position], features, dispatch_key + "h"
                 )
         return hedges
 
@@ -1111,7 +1146,7 @@ class ShardedRecognitionService:
     # -- in-process rescue -----------------------------------------------------
 
     def _rescue_shard(
-        self, task: ShardTask, queries: list[LabelledImage]
+        self, task: ShardTask, features: list[Any]
     ) -> list[tuple[float, int, str, str]]:
         """Serve one sick shard's rows in the front-end process, exactly.
 
@@ -1121,7 +1156,7 @@ class ShardedRecognitionService:
         still flagged degraded because the fault-free run may have served
         the range through its per-shard index.
         """
-        return _brute_champions(self._rescue_pipeline(task), task.start, queries)
+        return _brute_champions(self._rescue_pipeline(task), task.start, features)
 
     def _rescue_pipeline(self, task: ShardTask) -> RecognitionPipeline:
         key = (task.store_version, task.start, task.stop)

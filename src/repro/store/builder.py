@@ -87,48 +87,60 @@ def _cached(
     return cache.get_or_compute(namespace, version, item.image, compute)
 
 
-def _shape_rows(
-    references: ImageDataset, cache: FeatureCache | None
-) -> np.ndarray:
+def _crop_feature_rows(
+    references: ImageDataset,
+    bins: int,
+    cache: FeatureCache | None,
+    families: Sequence[str],
+) -> dict[str, np.ndarray]:
+    """The stacked shape and/or colour matrices of *references*, by family.
+
+    One pass over the views: each view's shape and colour features come
+    from one shared object crop (see
+    :func:`~repro.pipelines.preprocess.shared_crop`).
+    """
+    from repro.pipelines.color_only import (
+        COLOR_FEATURE_VERSION,
+        color_feature_namespace,
+        color_features,
+    )
+    from repro.pipelines.preprocess import shared_crop
     from repro.pipelines.shape_only import (
         SHAPE_FEATURE_NAMESPACE,
         SHAPE_FEATURE_VERSION,
         shape_features,
     )
 
-    rows = [
-        _cached(
-            cache,
-            SHAPE_FEATURE_NAMESPACE,
-            SHAPE_FEATURE_VERSION,
-            item,
-            lambda item=item: shape_features(item),
-        )
-        for item in references
-    ]
-    return hu_signature_matrix(np.vstack(rows))
-
-
-def _color_rows(
-    references: ImageDataset, bins: int, cache: FeatureCache | None
-) -> np.ndarray:
-    from repro.pipelines.color_only import (
-        COLOR_FEATURE_VERSION,
-        color_feature_namespace,
-        color_features,
-    )
-
-    rows = [
-        _cached(
-            cache,
-            color_feature_namespace(bins),
-            COLOR_FEATURE_VERSION,
-            item,
-            lambda item=item: color_features(item, bins=bins),
-        )
-        for item in references
-    ]
-    return stack_histograms(rows)
+    shape_rows: list[np.ndarray] = []
+    color_rows: list[np.ndarray] = []
+    for item in references:
+        crop = shared_crop(item.image)
+        if "shape" in families:
+            shape_rows.append(
+                _cached(
+                    cache,
+                    SHAPE_FEATURE_NAMESPACE,
+                    SHAPE_FEATURE_VERSION,
+                    item,
+                    lambda: shape_features(item, crop=crop()),
+                )
+            )
+        if "color" in families:
+            color_rows.append(
+                _cached(
+                    cache,
+                    color_feature_namespace(bins),
+                    COLOR_FEATURE_VERSION,
+                    item,
+                    lambda: color_features(item, bins=bins, crop=crop()),
+                )
+            )
+    matrices: dict[str, np.ndarray] = {}
+    if "shape" in families:
+        matrices["shape"] = hu_signature_matrix(np.vstack(shape_rows))
+    if "color" in families:
+        matrices["color"] = stack_histograms(color_rows)
+    return matrices
 
 
 def _descriptor_rows(
@@ -273,18 +285,12 @@ def build_store(
     staging = root / f".staging-{version}-{os.getpid()}"
     staging.mkdir(parents=True, exist_ok=True)
     shards: list[ShardSpec] = []
-    if "shape" in families:
+    matrices = _crop_feature_rows(references, bins, cache, families)
+    if "shape" in matrices:
+        shards.append(_save_matrix(staging, "shape-hu", "v1", matrices["shape"]))
+    if "color" in matrices:
         shards.append(
-            _save_matrix(staging, "shape-hu", "v1", _shape_rows(references, cache))
-        )
-    if "color" in families:
-        shards.append(
-            _save_matrix(
-                staging,
-                f"color-hist{bins}",
-                "v1",
-                _color_rows(references, bins, cache),
-            )
+            _save_matrix(staging, f"color-hist{bins}", "v1", matrices["color"])
         )
     if "desc-sift" in families:
         shards.append(

@@ -89,21 +89,21 @@ class TestContourProperties:
         # 5x5 square: boundary trace has 16 points, arc length 16.
         assert contour_perimeter(contour) == pytest.approx(16.0)
 
+    def test_trace_passes_a_cut_vertex_start_twice(self):
+        # The topmost pixel joins two legs; stopping on the first return to
+        # it lost the left leg.
+        mask = np.array([[0, 0, 1, 0, 0], [0, 1, 0, 1, 0], [1, 0, 0, 0, 1]])
+        points = largest_contour(mask).points.tolist()
+        assert points == [[0, 2], [1, 3], [2, 4], [1, 3], [0, 2], [1, 1], [2, 0], [1, 1]]
+
+    def test_points_are_traced_on_first_access_only(self):
+        contour = largest_contour(square_mask())
+        assert "points" not in contour.__dict__
+        assert contour.points is contour.points
+
     def test_area_helper(self):
         contour = largest_contour(square_mask(side=4))
         assert contour_area(contour) == 16
-
-    def test_filled_mask_fills_holes(self):
-        mask = np.zeros((12, 12), dtype=bool)
-        mask[2:10, 2:10] = True
-        mask[4:8, 4:8] = False  # a hole
-        contour = largest_contour(mask)
-        assert contour.area == 64 - 16
-        assert contour.filled_mask.sum() == 64
-
-    def test_filled_mask_no_hole_is_identity(self):
-        contour = largest_contour(square_mask())
-        assert (contour.filled_mask == contour.mask).all()
 
     def test_uint8_mask_accepted(self):
         mask = square_mask().astype(np.uint8) * 255

@@ -69,3 +69,16 @@ class TestExtractObjectCrop:
         image = object_on_background((0, 0, 0))
         crop = extract_object_crop(image)
         assert crop.mask.shape == crop.image.shape[:2]
+
+
+class TestFilledMask:
+    def test_filled_mask_fills_holes(self):
+        image = object_on_background((0, 0, 0), top=2, left=2, h=8, w=8)
+        image[4:8, 4:8] = 0.0  # a hole
+        crop = extract_object_crop(image, background="black")
+        assert crop.contour.area == 64 - 16
+        assert crop.filled_mask.sum() == 64
+
+    def test_filled_mask_no_hole_is_identity(self):
+        crop = extract_object_crop(object_on_background((0, 0, 0)), background="black")
+        assert (crop.filled_mask == crop.mask).all()

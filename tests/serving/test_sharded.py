@@ -9,7 +9,9 @@ exact admission/served accounting and one pool rebuild after a worker is
 killed mid-run.
 """
 
+import dataclasses
 import os
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
@@ -17,7 +19,7 @@ import pytest
 from repro.config import ExperimentConfig, ServingSettings
 from repro.datasets.dataset import ImageDataset
 from repro.engine.cache import FeatureCache
-from repro.errors import ServingError, StoreError
+from repro.errors import ImageError, ServingError, StoreError
 from repro.serving.registry import default_registry
 from repro.serving.shards import (
     ShardedRecognitionService,
@@ -202,8 +204,13 @@ class TestShardedService:
         )
         with service:
             # Kill a worker out from under the pool: the next scatter hits
-            # BrokenProcessPool, rebuilds once, and replays the batch.
-            service._pool.submit(os._exit, 1)
+            # BrokenProcessPool, rebuilds once, and replays the batch.  Wait
+            # until the pool has noticed the death: shard tasks carry only
+            # feature rows and finish in well under a millisecond, so they
+            # could otherwise complete on the surviving worker first.
+            kill = service._pool.submit(os._exit, 1)
+            with pytest.raises(BrokenProcessPool):
+                kill.result(timeout=60.0)
             futures = [service.submit(query) for query in queries]
             got = [future.result(timeout=60.0) for future in futures]
             rebuilds = service.pool_rebuilds
@@ -211,6 +218,35 @@ class TestShardedService:
         assert [(p.label, p.model_id, p.score) for p in got] == [
             (p.label, p.model_id, p.score) for p in expected
         ]
+
+    def test_malformed_query_fails_alone_and_charges_no_shard(self, served):
+        # One flush of [good, 2-D grayscale, good]: the grayscale query
+        # cannot be extracted, so it fails on its own in the front-end; the
+        # good ones are served and no shard records an error.
+        config, references, queries, store_dir = served
+        good = [queries[0], queries[1]]
+        gray = dataclasses.replace(queries[2], image=queries[2].image.mean(axis=-1))
+        expected = default_registry().build("hybrid", config).fit(references).predict_batch(good)
+        service = ShardedRecognitionService(
+            "hybrid",
+            store_dir,
+            workers=2,
+            settings=ServingSettings(max_batch_size=3, max_wait_ms=5000.0),
+            config=config,
+        )
+        with service:
+            futures = [service.submit(query) for query in (good[0], gray, good[1])]
+            with pytest.raises(ImageError):
+                futures[1].result(timeout=60.0)
+            got = [futures[0].result(timeout=60.0), futures[2].result(timeout=60.0)]
+            report = service.report()
+            health = service.health_report()
+        assert report.batch_histogram == {3: 1}
+        assert [(p.label, p.model_id, p.score, p.degraded) for p in got] == [
+            (p.label, p.model_id, p.score, False) for p in expected
+        ]
+        assert report.shard_errors == 0
+        assert [snapshot["errors"] for snapshot in health.values()] == [0, 0]
 
     def test_refuses_pipelines_without_an_attach_path(self, served):
         config, _, _, store_dir = served
